@@ -6,16 +6,19 @@
 //! incremental hot-path structures at n ∈ {10, 100, 1000}: the counting
 //! multiset behind the O(1) Assumption-1/2 admission bound, the
 //! generational slab behind the stream store, and the short-circuiting
-//! order repair behind the per-cycle position sort. (A real controller
+//! order repair behind the per-cycle position sort. The `estimator`
+//! group sets the incremental `k_log` sliding-window maximum against the
+//! O(len) two-pointer sweep it replaced. (A real controller
 //! tops out at the paper's N = 79 concurrent streams, so the scaling
 //! points above that drive the structures directly — the same code the
 //! engine runs, minus the simulation around it.)
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use vod_core::{AdmissionController, MinMultiset, SchemeKind, SizeTable, SystemParams};
+use vod_core::estimator::sweep_k_log;
+use vod_core::{AdmissionController, ArrivalLog, MinMultiset, SchemeKind, SizeTable, SystemParams};
 use vod_sched::SchedulingMethod;
 use vod_sim::{CapacityConfig, CapacitySim, DiskEngine, EngineConfig, Slab};
 use vod_types::{Bits, Instant, RequestId, Seconds};
@@ -228,6 +231,49 @@ fn bench_table_cache(c: &mut Criterion) {
     group.finish();
 }
 
+/// The Fig. 5 `k_log` query over `len` retained arrivals. Each
+/// iteration records one arrival, queries at its instant (which prunes
+/// the oldest) and moves on to the next of three periods: every query
+/// sees a changed retained set and a changed period. `sweep` rescans
+/// the log each time; `incremental` is `ArrivalLog`.
+fn bench_estimator(c: &mut Criterion) {
+    const GAP_S: f64 = 0.5;
+    // Jittered arrivals, still increasing, so window counts vary.
+    let at = |i: usize| Instant::from_secs(i as f64 * GAP_S + (i * 7 % 5) as f64 * 0.09);
+    let periods = [2.0, 3.5, 5.0].map(Seconds::from_secs);
+    let mut group = c.benchmark_group("estimator/k_log");
+    for len in [100usize, 1_000, 5_000] {
+        let t_log = Seconds::from_secs(len as f64 * GAP_S);
+        group.bench_function(format!("sweep/{len}"), |b| {
+            let mut log: VecDeque<Instant> = (0..len).map(at).collect();
+            let mut i = len;
+            b.iter(|| {
+                let now = at(i);
+                log.push_back(now);
+                while log.front().is_some_and(|&a| a < now - t_log) {
+                    log.pop_front();
+                }
+                i += 1;
+                black_box(sweep_k_log(log.make_contiguous(), periods[i % 3]))
+            })
+        });
+        group.bench_function(format!("incremental/{len}"), |b| {
+            let mut log = ArrivalLog::new(t_log);
+            for j in 0..len {
+                log.record(at(j));
+            }
+            let mut i = len;
+            b.iter(|| {
+                let now = at(i);
+                log.record(now);
+                i += 1;
+                black_box(log.k_log(now, periods[i % 3]))
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_engine,
@@ -236,6 +282,7 @@ criterion_group!(
     bench_admission_bound,
     bench_cycle_plan,
     bench_fast_forward,
-    bench_table_cache
+    bench_table_cache,
+    bench_estimator
 );
 criterion_main!(benches);

@@ -1,11 +1,13 @@
 //! The allocation budget of the steady-state hot loop.
 //!
 //! A counting global allocator wraps [`System`] and tallies every
-//! `alloc`/`realloc`. The test warms an engine into steady state (all
-//! streams admitted, scratch vectors and heap capacities grown), then
-//! advances simulated time across a window of pure service cycles and
-//! asserts the window allocated **nothing** (static scheme) or within a
-//! tiny amortised bound (dynamic scheme, whose audit log may grow).
+//! `alloc`/`realloc` in a per-thread counter, so each test measures only
+//! the allocations of its own thread, whatever runs beside it. The test
+//! warms an engine into steady state (all streams admitted, scratch
+//! vectors and heap capacities grown), then advances simulated time
+//! across a window of pure service cycles and asserts the window
+//! allocated **nothing** (static scheme) or within a tiny amortised
+//! bound (dynamic scheme, whose audit log may grow).
 //!
 //! Meaningful only in release mode: debug builds run the engine's
 //! shadow-scan `debug_assert!`s, which are allowed to allocate. The test
@@ -13,7 +15,7 @@
 //! green; CI runs it with `cargo test --release`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use vod_core::SchemeKind;
 use vod_sched::SchedulingMethod;
@@ -23,11 +25,21 @@ use vod_workload::Arrival;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from
+    // inside the allocator never allocates or re-enters.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` fails only while the thread is being torn down, after
+    // any measurement has ended.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -36,7 +48,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -44,8 +56,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Drives `streams` arrivals into a fresh engine, warms it for
@@ -101,8 +114,8 @@ fn dynamic_steady_state_cycles_stay_within_the_amortised_budget() {
         eprintln!("alloc_budget: skipped (debug build runs allocating shadow-scan asserts)");
         return;
     }
-    // The dynamic scheme's estimator memo and table cache make its
-    // steady-state cycle allocation-free too; the only permitted heap
+    // The dynamic scheme's estimator window state and table cache make
+    // its steady-state cycle allocation-free too; the only permitted heap
     // traffic is amortised growth of long-lived containers (audit log,
     // due heap) — a handful of reallocs across thousands of cycles.
     let (allocs, cycles) = measure(SchemeKind::Dynamic, 20, 120.0, 60.0);

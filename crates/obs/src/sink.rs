@@ -8,7 +8,10 @@ use crate::metrics::Metrics;
 
 /// A set of [`EventKind`]s, packed into a bitmask.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EventMask(u16);
+pub struct EventMask(u32);
+
+// One bit per kind: a kind past the mask's width would alias another.
+const _: () = assert!(EventKind::COUNT <= u32::BITS as usize);
 
 impl EventMask {
     /// The empty set.
@@ -331,6 +334,21 @@ mod tests {
         for k in EventKind::ALL {
             assert!(EventMask::all().contains(k));
         }
+    }
+
+    #[test]
+    fn highest_kinds_filter_independently() {
+        // `ReplicaRebuilt` is bit 16, one past a 16-bit mask; it must not
+        // alias bit 0, `CyclePlanned`.
+        let rebuilt = EventMask::NONE.with(EventKind::ReplicaRebuilt);
+        assert!(rebuilt.contains(EventKind::ReplicaRebuilt));
+        assert!(!rebuilt.contains(EventKind::CyclePlanned));
+        let planned = EventMask::NONE.with(EventKind::CyclePlanned);
+        assert!(planned.contains(EventKind::CyclePlanned));
+        assert!(!planned.contains(EventKind::ReplicaRebuilt));
+        let sink = StderrSink::with_mask(rebuilt);
+        assert!(sink.enabled(EventKind::ReplicaRebuilt));
+        assert!(!sink.enabled(EventKind::CyclePlanned));
     }
 
     #[test]
